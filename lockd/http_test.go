@@ -294,7 +294,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	text := string(raw)
 	for _, family := range []string{
-		"lockd_held", "lockd_waiting", "lockd_locks",
+		"lockd_held", "lockd_waiting", "lockd_locks", "lockd_locks_attached",
 		"lockd_acquires_total", "lockd_shed_total", "lockd_lease_expiries_total",
 		"lockd_fencing_rejections_total", "lockd_global_shed_total", "lockd_draining",
 		"abortable_acquire_ns",
@@ -306,4 +306,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	if errs := promtext.Lint(bytes.NewReader(raw)); len(errs) > 0 {
 		t.Fatalf("promtext lint: %v", errs)
 	}
+	// The held lease keeps its name's lock set attached: the two gauges
+	// each sum to one across the shards.
+	for _, family := range []string{"lockd_locks", "lockd_locks_attached"} {
+		if got := sumFamily(text, family); got != 1 {
+			t.Errorf("%s sums to %d across shards, want 1", family, got)
+		}
+	}
+}
+
+// sumFamily adds up the per-shard samples of one gauge family in
+// Prometheus text.
+func sumFamily(text, family string) int64 {
+	var sum int64
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, family+"{")
+		if !ok {
+			continue
+		}
+		_, val, _ := strings.Cut(rest, "} ")
+		n, _ := strconv.ParseInt(val, 10, 64)
+		sum += n
+	}
+	return sum
 }

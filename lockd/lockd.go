@@ -13,10 +13,11 @@
 //
 //   - a global in-flight gate and a per-shard waiter budget shed excess
 //     load with 503 + Retry-After instead of an unbounded goroutine pileup;
-//   - names hash (fnv-1a) onto striped shards; each shard lazily
-//     instantiates one abortable.Lock + HandlePool per live name and
-//     retires idle entries (idle TTL plus an LRU cap), so millions of
-//     names stay memory-bounded;
+//   - names hash (fnv-1a) onto striped shards; each live name keeps only
+//     its lease state (about 150 B) and borrows an abortable.Lock +
+//     HandlePool (about 4.3 KB) from a server-wide pool of quiescent lock
+//     sets while it is in use or held, and idle entries are retired (idle
+//     TTL plus an LRU cap), so millions of names stay memory-bounded;
 //   - a per-shard expiry sweeper reclaims leases from crashed holders;
 //     fencing tokens are drawn from a per-shard monotonic counter, so a
 //     token stays comparable across retire/re-create of its name;
@@ -32,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,15 +167,29 @@ type Lease struct {
 	Expiry time.Time
 }
 
-// entry is one live named lock: the abortable lock + handle pool that
-// provide mutual exclusion and queueing, and the lease state layered on
-// top. refs counts in-flight requests touching the entry (retirement is
-// refused while it is nonzero); lastUse drives idle retirement and LRU
-// eviction.
+// lockSet is the mutual-exclusion half of a named lock: the abortable
+// lock and the handle pool that queue its waiters. Sets are not owned by
+// names. An entry borrows one from Server.sets while it is pinned or held
+// and gives it back when it goes idle, so a set is always quiescent when
+// it moves between names: every handle is back in the pool, nobody is in
+// the doorway, and nobody holds the lock.
+type lockSet struct {
+	lock *abortable.Lock
+	pool *abortable.HandlePool
+}
+
+// entry is one live named lock: the lease state, resident for as long as
+// the name is in the table, and the lock set, attached only while the
+// entry is pinned or held. refs counts the pins of in-flight requests
+// (retirement is refused while it is nonzero); lastUse drives idle
+// retirement and LRU eviction.
+//
+// Invariant: an entry that is held, or pinned by an acquire, has a set;
+// the set leaves only when the entry is unpinned and unheld. set is
+// written only under shard.mu then mu, so either lock suffices to read
+// it, and so does a pin that needs it.
 type entry struct {
 	name    string
-	lock    *abortable.Lock
-	pool    *abortable.HandlePool
 	refs    atomic.Int64
 	lastUse atomic.Int64 // unix nanos
 
@@ -184,17 +198,28 @@ type entry struct {
 	token  uint64
 	expiry time.Time
 	handle *abortable.Handle // the handle holding the lock while held
+	set    *lockSet
 }
 
 func (e *entry) touch(now time.Time) { e.lastUse.Store(now.UnixNano()) }
+
+// idle reports whether the entry is unpinned and unheld, the condition for
+// retiring it. Both are read under mu, where the sweeper pins an expired
+// entry before clearing held.
+func (e *entry) idle() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.refs.Load() == 0 && !e.held
+}
 
 // shard is one stripe of the lock table, with its own fencing counter,
 // waiter budget, sweeper, and metrics. Lock order: shard.mu before
 // entry.mu; nothing takes shard.mu while holding an entry.mu.
 type shard struct {
-	id      int
-	entries map[string]*entry
-	mu      sync.Mutex
+	id       int
+	entries  map[string]*entry
+	attached int // entries holding a lock set; guarded by mu
+	mu       sync.Mutex
 
 	fence   atomic.Uint64 // monotonic fencing-token source (per shard)
 	waiting atomic.Int64  // in-flight acquires (budget usage)
@@ -209,7 +234,7 @@ type shard struct {
 	renews         atomic.Int64
 	retired        atomic.Int64
 
-	met *obs.Metrics // shared by every entry's lock in this shard
+	met *obs.Metrics // shared by every lock set attached in this shard
 }
 
 // Server is the lock service. Create with New, serve the Handler, and
@@ -217,6 +242,7 @@ type shard struct {
 type Server struct {
 	cfg    Config
 	shards []*shard
+	sets   sync.Pool // *lockSet, quiescent and detached; the GC trims it
 
 	inflight    atomic.Int64
 	globalSheds atomic.Int64
@@ -241,6 +267,14 @@ func New(cfg Config) *Server {
 		obsReg:    obs.NewRegistry(),
 		sweepStop: make(chan struct{}),
 		start:     cfg.now(),
+	}
+	s.sets.New = func() any {
+		lk := abortable.New(abortable.Config{MaxHandles: cfg.PoolSize})
+		pool, err := abortable.NewHandlePool(lk, cfg.PoolSize)
+		if err != nil {
+			panic(err) // unreachable: the lock admits exactly PoolSize handles
+		}
+		return &lockSet{lock: lk, pool: pool}
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	for i := range s.shards {
@@ -291,11 +325,19 @@ func (s *Server) Drain(ctx context.Context) error {
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// shardOf maps a name onto its stripe with fnv-1a.
+// shardOf maps a name onto its stripe with 32-bit FNV-1a, computed in
+// place so that hashing neither allocates nor copies the name.
 func (s *Server) shardOf(name string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return s.shards[int(h.Sum32())%len(s.shards)]
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(name); i++ {
+		h ^= uint32(name[i])
+		h *= prime32
+	}
+	return s.shards[h%uint32(len(s.shards))]
 }
 
 func checkName(name string) error {
@@ -351,7 +393,7 @@ func (s *Server) Acquire(ctx context.Context, name string, ttl, wait time.Durati
 	}
 	defer func() {
 		e.touch(s.cfg.now())
-		e.refs.Add(-1)
+		s.unpin(sh, e)
 	}()
 
 	ttl = clamp(ttl, s.cfg.TTL, s.cfg.MaxTTL)
@@ -366,7 +408,7 @@ func (s *Server) Acquire(ctx context.Context, name string, ttl, wait time.Durati
 	stop := context.AfterFunc(s.drainCtx, cancel)
 	defer stop()
 
-	h, err := e.pool.EnterContext(actx)
+	h, err := e.set.pool.EnterContext(actx)
 	if err != nil {
 		switch {
 		case s.draining.Load():
@@ -405,7 +447,7 @@ func (s *Server) Release(name string, token uint64) error {
 	}
 	defer func() {
 		e.touch(s.cfg.now())
-		e.refs.Add(-1)
+		s.unpin(sh, e)
 	}()
 	e.mu.Lock()
 	if !e.held || e.token != token {
@@ -413,13 +455,13 @@ func (s *Server) Release(name string, token uint64) error {
 		sh.fencingRejects.Add(1)
 		return ErrStale
 	}
-	h := e.handle
+	h, ls := e.handle, e.set
 	expired := s.cfg.now().After(e.expiry)
 	e.held = false
 	e.handle = nil
 	e.mu.Unlock()
 	sh.held.Add(-1)
-	e.pool.Release(h)
+	ls.pool.Release(h)
 	if expired {
 		sh.expiries.Add(1)
 		sh.fencingRejects.Add(1)
@@ -439,7 +481,7 @@ func (s *Server) Renew(name string, token uint64, ttl time.Duration) (Lease, err
 	}
 	defer func() {
 		e.touch(s.cfg.now())
-		e.refs.Add(-1)
+		s.unpin(sh, e)
 	}()
 	now := s.cfg.now()
 	e.mu.Lock()
@@ -474,7 +516,7 @@ func (s *Server) Inspect(name string) (Info, bool) {
 	if err != nil {
 		return Info{}, false
 	}
-	defer e.refs.Add(-1)
+	defer s.unpin(sh, e)
 	e.mu.Lock()
 	info := Info{Name: name, Held: e.held, Waiters: sh.waiting.Load()}
 	if e.held {
@@ -485,8 +527,9 @@ func (s *Server) Inspect(name string) (Info, bool) {
 	return info, true
 }
 
-// liveEntry pins the existing entry for name (refs incremented; the
-// caller must decrement) or reports ErrUnknown/ErrBadName.
+// liveEntry pins the existing entry for name (the caller must unpin) or
+// reports ErrUnknown/ErrBadName. The pin attaches no lock set: Release
+// uses the set only of a held entry, which has one.
 func (s *Server) liveEntry(name string) (*entry, *shard, error) {
 	if err := checkName(name); err != nil {
 		return nil, nil, err
@@ -503,45 +546,72 @@ func (s *Server) liveEntry(name string) (*entry, *shard, error) {
 	return e, sh, nil
 }
 
-// entryFor pins the entry for name, creating it if absent. At the
+// entryFor pins the entry for name, creating it if absent, and attaches
+// a lock set from the server's pool if the entry has none. At the
 // lock-table cap it evicts the least-recently-used idle entry; with
 // nothing evictable the create is shed with ErrTableFull.
 func (s *Server) entryFor(sh *shard, name string) (*entry, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e := sh.entries[name]; e != nil {
-		e.refs.Add(1)
-		return e, nil
+	e := sh.entries[name]
+	if e == nil {
+		if len(sh.entries) >= s.cfg.MaxLocksPerShard && !sh.evictLRU() {
+			return nil, ErrTableFull
+		}
+		e = &entry{name: name}
+		e.touch(s.cfg.now())
+		sh.entries[name] = e
 	}
-	if len(sh.entries) >= s.cfg.MaxLocksPerShard && !sh.evictLRU() {
-		return nil, ErrTableFull
-	}
-	lk := abortable.New(abortable.Config{MaxHandles: s.cfg.PoolSize})
-	lk.SetObserver(sh.met)
-	pool, err := abortable.NewHandlePool(lk, s.cfg.PoolSize)
-	if err != nil {
-		return nil, err // unreachable with a validated PoolSize
-	}
-	e := &entry{name: name, lock: lk, pool: pool}
-	e.touch(s.cfg.now())
 	e.refs.Add(1)
-	sh.entries[name] = e
+	if e.set == nil {
+		ls := s.sets.Get().(*lockSet)
+		ls.lock.SetObserver(sh.met) // the set may come from another shard
+		e.mu.Lock()
+		e.set = ls
+		e.mu.Unlock()
+		sh.attached++
+	}
 	return e, nil
 }
 
-// evictLRU removes the least-recently-used idle entry (unheld,
-// unreferenced), reporting whether an eviction happened. Caller holds
-// sh.mu.
+// unpin drops a pin taken by entryFor, liveEntry or the sweeper. The last
+// pin off an unheld entry detaches its lock set and returns it to the
+// server's pool; the set is quiescent then, because every waiter and
+// every caller of pool.Release holds a pin while it touches the set.
+func (s *Server) unpin(sh *shard, e *entry) {
+	if e.refs.Add(-1) != 0 {
+		return
+	}
+	e.mu.Lock()
+	detach := !e.held && e.set != nil
+	e.mu.Unlock()
+	if !detach {
+		return
+	}
+	// Recheck under both locks: pins are taken under sh.mu (or under
+	// e.mu on a held entry), so neither can slip in between.
+	sh.mu.Lock()
+	e.mu.Lock()
+	ls := e.set
+	if e.refs.Load() != 0 || e.held || ls == nil {
+		ls = nil
+	} else {
+		e.set = nil
+		sh.attached--
+	}
+	e.mu.Unlock()
+	sh.mu.Unlock()
+	if ls != nil {
+		s.sets.Put(ls)
+	}
+}
+
+// evictLRU removes the least-recently-used idle entry, reporting whether
+// an eviction happened. Caller holds sh.mu.
 func (sh *shard) evictLRU() bool {
 	var victim *entry
 	for _, e := range sh.entries {
-		if e.refs.Load() != 0 {
-			continue
-		}
-		e.mu.Lock()
-		held := e.held
-		e.mu.Unlock()
-		if held {
+		if !e.idle() {
 			continue
 		}
 		if victim == nil || e.lastUse.Load() < victim.lastUse.Load() {
@@ -576,8 +646,8 @@ func (s *Server) sweeper() {
 }
 
 // sweepShard reclaims expired leases and retires idle entries in one
-// shard. Reclaiming calls pool.Release (which hands the lock to the next
-// queued waiter) outside both mutexes.
+// shard. Reclaiming pins the entry, then calls pool.Release (which hands
+// the lock to the next queued waiter) outside both mutexes.
 func (s *Server) sweepShard(sh *shard, now time.Time) {
 	sh.mu.Lock()
 	live := make([]*entry, 0, len(sh.entries))
@@ -589,13 +659,15 @@ func (s *Server) sweepShard(sh *shard, now time.Time) {
 	for _, e := range live {
 		e.mu.Lock()
 		if e.held && now.After(e.expiry) {
-			h := e.handle
+			h, ls := e.handle, e.set
 			e.held = false
 			e.handle = nil
+			e.refs.Add(1) // under mu while held, so the set cannot detach
 			e.mu.Unlock()
 			sh.held.Add(-1)
 			sh.expiries.Add(1)
-			e.pool.Release(h)
+			ls.pool.Release(h)
+			s.unpin(sh, e)
 			continue
 		}
 		e.mu.Unlock()
@@ -607,13 +679,7 @@ func (s *Server) sweepShard(sh *shard, now time.Time) {
 	cutoff := now.Add(-s.cfg.IdleRetire).UnixNano()
 	sh.mu.Lock()
 	for name, e := range sh.entries {
-		if e.refs.Load() != 0 || e.lastUse.Load() > cutoff {
-			continue
-		}
-		e.mu.Lock()
-		held := e.held
-		e.mu.Unlock()
-		if held {
+		if e.lastUse.Load() > cutoff || !e.idle() {
 			continue
 		}
 		delete(sh.entries, name)
@@ -624,12 +690,13 @@ func (s *Server) sweepShard(sh *shard, now time.Time) {
 
 // Stats is a point-in-time aggregate snapshot across all shards.
 type Stats struct {
-	Shards   int
-	Locks    int   // live named locks
-	Held     int64 // held leases
-	Waiting  int64 // in-flight acquires
-	InFlight int64 // in-flight requests (global gate usage)
-	Draining bool
+	Shards        int
+	Locks         int   // live named locks
+	LocksAttached int   // live named locks holding a lock set (pinned or held)
+	Held          int64 // held leases
+	Waiting       int64 // in-flight acquires
+	InFlight      int64 // in-flight requests (global gate usage)
+	Draining      bool
 
 	Acquires       int64
 	Timeouts       int64
@@ -654,6 +721,7 @@ func (s *Server) Stats() Stats {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		st.Locks += len(sh.entries)
+		st.LocksAttached += sh.attached
 		sh.mu.Unlock()
 		st.Held += sh.held.Load()
 		st.Waiting += sh.waiting.Load()

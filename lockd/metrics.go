@@ -11,11 +11,12 @@ import (
 
 // Metrics exposition. Two layers share the /metrics endpoint:
 //
-//   - lockd_* families below: per-shard held/waiting/table gauges and the
-//     robustness counters (lease expiries, sheds, fencing rejections);
+//   - lockd_* families below: per-shard held/waiting/table gauges (live
+//     names, and those of them holding a lock set) and the robustness
+//     counters (lease expiries, sheds, fencing rejections);
 //   - the abortable/obs families (abortable_acquire_ns histograms and
-//     friends), one collector per shard attached to every named lock in
-//     that shard, so acquire-latency histograms come straight off the
+//     friends), one collector per shard attached to every lock set while
+//     it serves a name in that shard, so acquire-latency histograms come straight off the
 //     native lock's observed Enter path.
 
 // shardCounters maps each per-shard counter family to its field.
@@ -52,6 +53,13 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		n := len(sh.entries)
 		sh.mu.Unlock()
 		pw.Sample("lockd_locks", shardLabel(sh.id), int64(n))
+	}
+	pw.Metric("lockd_locks_attached", "Live named locks per shard holding a lock set (pinned or held); the rest keep only lease state.", "gauge")
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n := sh.attached
+		sh.mu.Unlock()
+		pw.Sample("lockd_locks_attached", shardLabel(sh.id), int64(n))
 	}
 
 	for _, cf := range shardCounters {
