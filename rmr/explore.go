@@ -68,10 +68,12 @@ type Explorer struct {
 	// non-crash-only fault plan makes verdicts depend on global step
 	// counts, and above 64 processes.
 	Visited bool
-	// VisitedCap bounds the visited set to this many fingerprints
-	// (rounded up to a power of two); 0 selects 1<<20. When the set fills
-	// up, new states stop being recorded — sound, but counts lose their
-	// worker-count independence; Result.VisitedSaturated reports it.
+	// VisitedCap bounds the visited set: it saturates at 7/8 of VisitedCap
+	// rounded up to a power of two; 0 selects 1<<20, which saturates at
+	// 917,504 fingerprints. The set's memory grows with what it records;
+	// the cap preallocates nothing. When the set fills up, new states stop
+	// being recorded — sound, but counts lose their worker-count
+	// independence; Result.VisitedSaturated reports it.
 	VisitedCap int
 	// Symmetry enables process-ID symmetry reduction (see visited.go): a
 	// never-granted process is only granted when it is the smallest
